@@ -12,7 +12,8 @@ counts and the same per-point seeds are not required* — the assertion is
 wall-clock, the fidelity comparison between the two pipelines is
 statistical (they agree within Monte-Carlo error by construction).
 
-The benchmark asserts a >= 5x speedup.  The grid matches the Figure 7
+The benchmark asserts the speedup set by ``REPRO_SPEEDUP_GATE`` (default
+4.0, parsed in ``benchmarks/conftest.py``).  The grid matches the Figure 7
 benchmark (cnu + qram, sizes 5-9, all six strategies) with the paper's
 mixed-radix simulation ceiling set to 8 qubits: both pipelines then skip
 trajectory simulation for the 4^9-dimensional mixed-radix points (the same

@@ -1086,8 +1086,13 @@ def prescan_trajectories(
 
     ``block_size=None`` processes all streams as one batch.  Records land in
     the shared store (memory always; disk per the min-trajectory publication
-    gate over the full stream count), so a simulation of the deviating subset
-    immediately reuses them.
+    gate over the full stream count), so the adaptive mode's simulation of
+    the deviating subset immediately reuses them.
+
+    The adaptive mode is the only caller.  Fixed-count evaluations never
+    prescan: :func:`run_fastpath_fidelities` builds each record on demand,
+    only up to its trajectory's first deviation, and a full prescan ahead
+    of it would only duplicate that work.
     """
     from repro.noise.batched import BatchedTrajectoryEngine
 

@@ -16,7 +16,6 @@ import repro.noise.fastpath as fastpath_mod
 from repro.artifacts import (
     BuildFailure,
     CompiledProgramArtifact,
-    NoJumpRecordArtifact,
     SweepTableArtifact,
     build_graph,
 )
@@ -25,7 +24,7 @@ from repro.core.compile_cache import get_cache
 from repro.experiments.cswap_study import cswap_study_points
 from repro.experiments.fidelity_sweep import fidelity_sweep_points, run_fidelity_sweep
 from repro.experiments.shard import named_grid_points
-from repro.experiments.sweep import SweepFailure, SweepPoint, SweepRunner, sweep_rows
+from repro.experiments.sweep import SweepFailure, SweepPoint, SweepRunner, point_key, sweep_rows
 from repro.noise.fastpath import reset_fastpath
 from helpers import compile_log_keys
 
@@ -109,7 +108,6 @@ class TestAtMostOnceAcrossFigures:
         ]
         plan = graph.plan(tables)
         compiled_nodes = [n for n in plan.order if isinstance(n, CompiledProgramArtifact)]
-        record_nodes = [n for n in plan.order if isinstance(n, NoJumpRecordArtifact)]
         assert len(compiled_nodes) == 9
 
         graph.compute_many(tables)
@@ -119,10 +117,13 @@ class TestAtMostOnceAcrossFigures:
         # appear exactly once across both figures.
         log_keys = compile_log_keys(shared_cache)
         assert len(log_keys) == len(set(log_keys)) > 0
-        # Every record bundle was built exactly once, during its provider's
-        # prescan: the table evaluations replayed them from the store.
-        stats = fastpath_mod.stats()
-        assert stats["records_built"] == 4 * len(record_nodes)
+        # Every record was built exactly once, by the table evaluation that
+        # first ran its trajectory: a point both figures share replays its
+        # records from the store the second time.
+        unique_points = {point_key(point): point for point in [*fig7, *fig9a]}
+        assert len(unique_points) == 11
+        trajectories = sum(point.num_trajectories for point in unique_points.values())
+        assert fastpath_mod.stats()["records_built"] == trajectories == 44
 
     def test_identical_tables_under_different_labels_evaluate_once(
         self, tmp_path, shared_cache
@@ -190,3 +191,28 @@ class TestFailureContract:
         value = graph.compute(node)
         assert isinstance(value, BuildFailure)
         assert value.error_type in {"KeyError", "ValueError"}
+
+
+class TestRecordsBuiltOnce:
+    def test_tiny_record_store_builds_each_record_once(
+        self, tmp_path, shared_cache, monkeypatch
+    ):
+        # The fig7-mini grid at 20 trajectories a point: more than one
+        # 16-trajectory block, and ~4 MB of records against the smallest
+        # record store (1 MB), so the store evicts as it goes and every run
+        # publishes to disk.  A pass that built the records ahead of the
+        # table evaluation (in one bundle per point, where the evaluation
+        # looks up one bundle per block) would see them evicted and the
+        # evaluation build them all again.
+        monkeypatch.setenv("REPRO_FASTPATH_MIN_TRAJ", "1")
+        monkeypatch.setenv("REPRO_FASTPATH_MEMORY_MB", "1")
+        points = fidelity_sweep_points(
+            workloads=("cnu",), sizes=(5,), num_trajectories=20, rng=0
+        )
+        graph, _ = graph_run(points, tmp_path, label="graph", name="fig7")
+        trajectories = sum(point.num_trajectories for point in points)
+        assert fastpath_mod.stats()["records_built"] == trajectories
+
+        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
+        slow, _ = direct_run(points, tmp_path, label="slow")
+        assert graph.json_path.read_bytes() == slow.json_path.read_bytes()
